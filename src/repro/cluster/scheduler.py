@@ -433,13 +433,20 @@ class Scheduler:
             raise RuntimeError(f"write lost: no online replica for {self.app!r}")
         primary = online[primary_cursor % len(online)]
         # The primary must be current before taking a new write: force-apply
-        # whatever propagation backlog it still carries (ordering!).
+        # whatever propagation backlog it still carries (ordering!).  As in
+        # drain_pending, a queued write that recovery catch-up already
+        # replayed is stale and dropped, never re-applied.
         backlog = self._pending.get(primary)
+        dropped = 0
         while backlog:
             _, pending_token, pending_class = backlog.pop(0)
+            if self.replication.has_applied(primary, pending_token.sequence):
+                dropped += 1
+                continue
             self.replicas[primary].execute(pending_class, timestamp)
             self.replicas[primary].apply_write(pending_token.sequence)
             self.replication.acknowledge(primary, pending_token)
+        self._count_stale_dropped(dropped)
         record = self.replicas[primary].execute(query_class, timestamp)
         self.replicas[primary].apply_write(token.sequence)
         self.replication.acknowledge(primary, token)
@@ -494,14 +501,19 @@ class Scheduler:
                 replica.apply_write(token.sequence)
                 self.replication.acknowledge(name, token)
                 applied += 1
-        if dropped:
-            self.pending_stale_dropped_total += dropped
-            registry = self.obs.registry
-            if registry.enabled:
-                registry.counter(
-                    "scheduler.pending_dropped_stale", app=self.app
-                ).inc(dropped)
+        self._count_stale_dropped(dropped)
         return applied
+
+    def _count_stale_dropped(self, dropped: int) -> None:
+        """Account queued writes dropped because catch-up replayed them."""
+        if not dropped:
+            return
+        self.pending_stale_dropped_total += dropped
+        registry = self.obs.registry
+        if registry.enabled:
+            registry.counter(
+                "scheduler.pending_dropped_stale", app=self.app
+            ).inc(dropped)
 
     # ------------------------------------------------------------------ #
     # Replica health (the scheduler's belief, driving re-routing)        #

@@ -91,20 +91,18 @@ class ZipfWorkingSet(AccessPattern):
             )
         if pages_per_execution <= 0:
             raise ValueError(f"pages per execution must be positive: {pages_per_execution}")
-        self._range = pages
         self.working_set = working_set
         self.pages_per_execution = pages_per_execution
         self._stream = stream
         layout = list(range(working_set))
         stream.shuffle(layout)
-        self._layout = layout
-        self._layout_array = np.asarray(layout, dtype=np.int64)
+        # Page id of each popularity rank, built (and range-checked) once.
+        self._rank_pages = pages.page_array(np.asarray(layout, dtype=np.int64))
         self._zipf = ZipfGenerator(working_set, theta, stream)
 
     def pages_for_execution(self) -> ExecutionAccess:
         ranks = self._zipf.sample_many(self.pages_per_execution)
-        demand = self._range.page_array(self._layout_array[ranks]).tolist()
-        return ExecutionAccess(demand=demand)
+        return ExecutionAccess(demand=self._rank_pages[ranks].tolist())
 
     def footprint_pages(self) -> int:
         return self.working_set
@@ -216,20 +214,28 @@ class IndexLookup(AccessPattern):
         self.rows_per_lookup = rows_per_lookup
         self._stream = stream
         space = min(key_space or index.table.row_count, index.table.row_count)
-        layout = None  # keys map to rows directly; skew comes from the Zipf ranks
+        # Keys map to rows directly; skew comes from the Zipf ranks.
         self._zipf = ZipfGenerator(space, key_theta, stream)
         self._space = space
-        self._layout = layout
 
     def pages_for_execution(self) -> ExecutionAccess:
         demand: list[int] = []
         table = self.index.table
-        for _ in range(self.lookups_per_execution):
-            row = self._zipf.sample() * max(1, table.row_count // self._space)
-            row = min(row, table.row_count - 1)
+        last_row = table.row_count - 1
+        stride = max(1, table.row_count // self._space)
+        first_page = table.pages.start
+        rows_per_page = table.rows_per_page
+        # One batched draw consumes the same doubles as one sample() per
+        # lookup: nothing else draws from the stream in between.
+        for rank in self._zipf.sample_many(self.lookups_per_execution).tolist():
+            row = min(rank * stride, last_row)
             demand.extend(self.index.lookup_path(row))
-            for offset in range(self.rows_per_lookup):
-                demand.append(table.page_of_row(min(row + offset, table.row_count - 1)))
+            # Rows are clamped into the table, so page_of_row's bounds
+            # check cannot fire: inline its arithmetic.
+            demand.extend(
+                first_page + min(row + offset, last_row) // rows_per_page
+                for offset in range(self.rows_per_lookup)
+            )
         return ExecutionAccess(demand=demand)
 
     def footprint_pages(self) -> int:
@@ -329,7 +335,9 @@ class CompositePattern(AccessPattern):
     def pages_for_execution(self) -> ExecutionAccess:
         result = ExecutionAccess()
         for part in self.parts:
-            result = result.merged(part.pages_for_execution())
+            access = part.pages_for_execution()
+            result.demand.extend(access.demand)
+            result.prefetch.extend(access.prefetch)
         return result
 
     def footprint_pages(self) -> int:

@@ -73,6 +73,24 @@ class BTreeIndex:
             leaf_pages=leaf_range,
         )
 
+    def __post_init__(self) -> None:
+        # Internal levels a lookup walks, top-down, as (offset of the
+        # level's first page, leaves per page, last page slot).  Level L
+        # has ceil(leaves / fanout^L) pages laid out consecutively after
+        # the levels above it.
+        sizes: list[int] = []
+        size = self.leaf_count
+        while size > 1:
+            size = -(-size // self.fanout)
+            sizes.append(size)
+        levels: list[tuple[int, int, int]] = []
+        base = 0
+        for size in reversed(sizes):
+            levels.append((base, max(1, self.leaf_count // size), size - 1))
+            base += size
+        # A single-page tree: the root is the only internal page.
+        self._levels = tuple(levels) or ((0, 1, 0),)
+
     @property
     def leaf_count(self) -> int:
         return self.leaf_pages.count
@@ -92,27 +110,12 @@ class BTreeIndex:
         that makes index traffic cache-friendly.
         """
         leaf_index = min(row // self.leaf_entries, self.leaf_count - 1)
-        path: list[int] = []
-        # Walk conceptual levels top-down; level L has ceil(leaves / fanout^L)
-        # pages laid out consecutively after the previous levels.
-        level_sizes: list[int] = []
-        size = self.leaf_count
-        while size > 1:
-            size = -(-size // self.fanout)
-            level_sizes.append(size)
-        # level_sizes is bottom-up (parents of leaves first); visit top-down.
-        offset_base = 0
-        offsets: list[int] = []
-        for size in reversed(level_sizes):
-            stride = max(1, self.leaf_count // size)
-            offsets.append(offset_base + min(leaf_index // stride, size - 1))
-            offset_base += size
-        if not offsets:
-            offsets = [0]  # single-page tree: the root is the only internal page
-        path.extend(
-            self.internal_pages.page(min(o, self.internal_pages.count - 1))
-            for o in offsets
-        )
+        start = self.internal_pages.start
+        last = self.internal_pages.count - 1
+        path = [
+            start + min(base + min(leaf_index // stride, top), last)
+            for base, stride, top in self._levels
+        ]
         path.append(self.leaf_of_row(row))
         return path
 

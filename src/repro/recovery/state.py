@@ -234,9 +234,11 @@ def export_controller_state(controller) -> dict:
 def wipe_controller_state(controller) -> None:
     """The crash model for the controller proper.
 
-    Streaks, grace bookkeeping and accumulated reports are process memory
-    and die with the process; schedulers, decision managers and resource
-    manager are the surviving cluster, reachable again on restart.
+    Streaks, grace bookkeeping, accumulated reports and the forecaster
+    (Holt state, cooldowns, false-positive budget) are process memory and
+    die with the process; the forecaster is rebuilt cold on the next
+    observed interval.  Schedulers, decision managers and resource manager
+    are the surviving cluster, reachable again on restart.
     """
     controller._violation_streak = {}
     controller._low_util_streak = {}
@@ -245,6 +247,7 @@ def wipe_controller_state(controller) -> None:
     controller.reports = []
     controller.diagnoses = []
     controller.plans = []
+    controller.forecaster = None
     controller._interval_index = 0
 
 

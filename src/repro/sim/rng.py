@@ -13,6 +13,8 @@ relies on:
 from __future__ import annotations
 
 import hashlib
+import math
+from bisect import bisect_right
 from collections.abc import Sequence
 
 import numpy as np
@@ -33,6 +35,11 @@ class RandomStream:
         self.name = name
         self.seed = _derive_seed(root_seed, name)
         self._rng = np.random.default_rng(self.seed)
+        # choice()'s memo: the last weight vector seen (with the item
+        # count) and its normalised CDF as a list.  One entry, so a mix
+        # that changes mid-run needs no invalidation.
+        self._cdf_key: tuple | None = None
+        self._cdf: list[float] = []
 
     @property
     def generator(self) -> np.random.Generator:
@@ -65,21 +72,49 @@ class RandomStream:
         return self._rng.integers(low, high, size=count)
 
     def choice(self, items: Sequence, weights: Sequence[float] | None = None):
-        """Pick one element, optionally with (unnormalised) weights."""
+        """Pick one element, optionally with (unnormalised) weights.
+
+        A weighted draw is ``Generator.choice(len(items), p=weights/sum)``
+        index for index: numpy builds the same normalised CDF, draws one
+        ``random()`` and bisects to the right.  The CDF is built once per
+        weight vector, not once per draw.
+        """
         if weights is None:
             return items[int(self._rng.integers(0, len(items)))]
-        probs = np.asarray(weights, dtype=float)
-        total = probs.sum()
-        if total <= 0:
-            raise ValueError("choice weights must have a positive sum")
-        index = int(self._rng.choice(len(items), p=probs / total))
-        return items[index]
+        key = (len(items), tuple(weights))
+        if key != self._cdf_key:
+            self._cdf = _choice_cdf(len(items), weights)
+            self._cdf_key = key
+        return items[bisect_right(self._cdf, self._rng.random())]
 
     def shuffle(self, items: list) -> None:
         self._rng.shuffle(items)
 
     def __repr__(self) -> str:
         return f"RandomStream(name={self.name!r}, seed={self.seed})"
+
+
+def _choice_cdf(count: int, weights: Sequence[float]) -> list[float]:
+    """The CDF ``Generator.choice(count, p=weights/sum)`` draws against,
+    after the checks it makes on ``p``, raising the same ``ValueError``s."""
+    probs = np.asarray(weights, dtype=float)
+    total = probs.sum()
+    if total <= 0:
+        raise ValueError("choice weights must have a positive sum")
+    probs = probs / total
+    if probs.ndim != 1:
+        raise ValueError("p must be 1-dimensional")
+    if probs.size != count:
+        raise ValueError("a and p must have same size")
+    if np.isnan(probs).any():
+        raise ValueError("probabilities contain NaN")
+    if (probs < 0).any():
+        raise ValueError("probabilities are not non-negative")
+    if abs(math.fsum(probs) - 1.0) > math.sqrt(np.finfo(np.float64).eps):
+        raise ValueError("probabilities do not sum to 1")
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
 
 
 class SeedSequenceFactory:
@@ -127,15 +162,15 @@ class ZipfGenerator:
 
     def sample(self) -> int:
         """Draw one rank in ``[0, n)``; rank 0 is the most popular."""
-        u = self._stream.uniform()
-        return int(np.searchsorted(self._cdf, u, side="left"))
+        # random() is the double uniform(0, 1) returns: 0 + 1 * random().
+        return int(self._cdf.searchsorted(self._stream.generator.random()))
 
     def sample_many(self, count: int) -> np.ndarray:
         """Draw ``count`` ranks as an int64 array."""
         if count < 0:
             raise ValueError(f"count must be non-negative: {count}")
-        us = self._stream.generator.uniform(size=count)
-        return np.searchsorted(self._cdf, us, side="left").astype(np.int64)
+        us = self._stream.generator.random(count)
+        return self._cdf.searchsorted(us).astype(np.int64, copy=False)
 
     def probability(self, rank: int) -> float:
         """Exact probability mass of ``rank``."""

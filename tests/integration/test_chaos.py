@@ -14,7 +14,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.chaos import ChaosConfig, build_chaos_plan, run_chaos
+from repro.experiments.chaos import (
+    ChaosConfig,
+    ChaosStormConfig,
+    build_chaos_plan,
+    run_chaos,
+    run_chaos_storm,
+)
 from repro.experiments.runner import ClusterHarness
 from repro.faults import FaultPlan
 from repro.obs import Observability, telemetry_lines
@@ -126,3 +132,20 @@ class TestEmptyPlanIsFree:
         harness.install_faults(FaultPlan())
         with pytest.raises(RuntimeError, match="already installed"):
             harness.install_faults(FaultPlan())
+
+
+class TestSeededStormRegressions:
+    """Storm seeds whose plans overlap a ``tpcw-r1`` crash/recover with a
+    write stall.  They used to abort: the async write path force-applied a
+    queued write that recovery catch-up had already replayed."""
+
+    @pytest.mark.parametrize("seed", [2, 18])
+    def test_storm_runs_to_completion(self, seed):
+        config = ChaosStormConfig(seed=seed)
+        result = run_chaos_storm(config)
+        assert result.faults_injected["replica_crash"] == 1
+        assert result.faults_injected["replica_recover"] == 1
+        assert result.faults_injected["write_stall"] >= 2
+        assert len(result.sla_series) + result.missed_intervals == config.intervals
+        assert result.duplicate_actions == 0
+        assert result.sla_met_at_end()

@@ -301,6 +301,35 @@ class TestSupervisorLifecycle:
         assert supervisor.restored_interval == 4
         assert supervisor.checkpoints.corrupt_skipped == 1
 
+    def test_forecaster_dies_with_the_process(self):
+        workload = build_tpcw(seed=7)
+        harness = ClusterHarness.single_app(
+            workload, servers=2, clients=8,
+            config=ControllerConfig(use_forecast=True),
+        )
+        supervisor = harness.enable_recovery()
+        harness.run(intervals=4)
+        before = harness.controller.forecaster
+        assert before.apps["tpcw"].latency.observations == 4
+        # Pre-crash act-ahead bookkeeping: a cooldown and a spent token.
+        before.policy.decide("tpcw", 4, 1, 9.0, 1.0, 1.0)
+        before.policy.decide("tpcw", 4, 1, 9.0, 1.0, 1.0)
+        assert before.policy._apps["tpcw"].last_act == 4
+        assert before.policy.budget < before.policy.config.false_positive_budget
+        supervisor.crash(harness.clock.now)
+        assert harness.controller.forecaster is None
+        supervisor.restart(harness.clock.now + 1.0)
+        harness.run(intervals=1)
+        after = harness.controller.forecaster
+        assert after is not before
+        assert after.apps["tpcw"].latency.observations == 1
+        assert after.policy.budget == after.policy.config.false_positive_budget
+        assert after.policy._apps.get("tpcw") is None or (
+            after.policy._apps["tpcw"].last_act is None
+        )
+        assert len(before.records) >= 1
+        assert len(after.records) <= 1  # the post-restart interval only
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             RecoveryConfig(checkpoint_every_intervals=0)

@@ -194,6 +194,28 @@ class TestPendingWriteDrain:
         assert scheduler.pending_stale_dropped_total == 1
         assert scheduler.replicas["r1"].engine.executor.executions == executions
 
+    def test_new_primary_drops_backlog_replayed_by_catch_up(self):
+        # The seeded-storm sequence: r1 crashes with a write queued for it,
+        # a propagation stall keeps the queue from draining, r1 recovers
+        # and catch-up replays the write from the log; the next async write
+        # makes r1 primary, whose forced backlog apply must skip the
+        # replayed copy instead of re-applying it out of order.
+        scheduler = self.make_async()
+        scheduler.submit(make_class(write=True), 0.0)  # primary r0
+        scheduler.replicas["r1"].fail()
+        scheduler.stall_propagation(100.0)
+        scheduler.replicas["r1"].recover()
+        assert scheduler.catch_up("r1", 10.0) == 1
+        assert scheduler.pending_writes == 1  # the stale queued copy
+        executions = scheduler.replicas["r1"].engine.executor.executions
+        scheduler.submit(make_class(write=True), 20.0)  # primary r1
+        assert scheduler.pending_stale_dropped_total == 1
+        assert scheduler.replicas["r1"].applied_writes == 2
+        # Only the new write executed; the replayed one did not run again.
+        assert scheduler.replicas["r1"].engine.executor.executions == executions + 1
+        assert scheduler.drain_pending(200.0) == 1  # r0 takes write #2
+        assert scheduler.replication.fully_consistent
+
     def test_propagation_stall_holds_the_queue(self):
         scheduler = self.make_async()
         scheduler.submit(make_class(write=True), 0.0)
