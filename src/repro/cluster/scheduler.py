@@ -288,6 +288,8 @@ class Scheduler:
         failures = 0
         while True:
             target = self._route_read(key)
+            if target is None and self._promote_for_read(timestamp + delay):
+                target = self._route_read(key)
             if target is None:
                 raise RuntimeError(
                     f"no current online replica for class {key!r} of app {self.app!r}"
@@ -432,21 +434,8 @@ class Scheduler:
         if not online:
             raise RuntimeError(f"write lost: no online replica for {self.app!r}")
         primary = online[primary_cursor % len(online)]
-        # The primary must be current before taking a new write: force-apply
-        # whatever propagation backlog it still carries (ordering!).  As in
-        # drain_pending, a queued write that recovery catch-up already
-        # replayed is stale and dropped, never re-applied.
-        backlog = self._pending.get(primary)
-        dropped = 0
-        while backlog:
-            _, pending_token, pending_class = backlog.pop(0)
-            if self.replication.has_applied(primary, pending_token.sequence):
-                dropped += 1
-                continue
-            self.replicas[primary].execute(pending_class, timestamp)
-            self.replicas[primary].apply_write(pending_token.sequence)
-            self.replication.acknowledge(primary, pending_token)
-        self._count_stale_dropped(dropped)
+        # The primary must be current before taking a new write (ordering!).
+        self._apply_backlog(primary, timestamp)
         record = self.replicas[primary].execute(query_class, timestamp)
         self.replicas[primary].apply_write(token.sequence)
         self.replication.acknowledge(primary, token)
@@ -458,6 +447,38 @@ class Scheduler:
                 (apply_time, token, query_class)
             )
         return record
+
+    def _apply_backlog(self, name: str, timestamp: float) -> None:
+        """Force-apply ``name``'s whole propagation backlog now, stall or
+        not.  As in drain_pending, a queued write that recovery catch-up
+        already replayed is stale and dropped, never re-applied."""
+        backlog = self._pending.get(name)
+        dropped = 0
+        while backlog:
+            _, token, query_class = backlog.pop(0)
+            if self.replication.has_applied(name, token.sequence):
+                dropped += 1
+                continue
+            self.replicas[name].execute(query_class, timestamp)
+            self.replicas[name].apply_write(token.sequence)
+            self.replication.acknowledge(name, token)
+        self._count_stale_dropped(dropped)
+
+    def _promote_for_read(self, timestamp: float) -> bool:
+        """No current replica is left to read from (the only current one
+        failed while propagation was stalled), so the least-lagging
+        survivor takes its backlog now — the write path's rule for a
+        primary.  Returns whether a survivor became current."""
+        survivors = sorted(
+            (name for name in self.replica_names()
+             if self.replicas[name].online and self.health.is_up(name)),
+            key=lambda name: (self.replication.lag_of(name), name),
+        )
+        for name in survivors:
+            self._apply_backlog(name, timestamp)
+            if self.replication.is_current(name):
+                return True
+        return False
 
     def stall_propagation(self, until: float) -> None:
         """Hold back asynchronous write application until ``until``.

@@ -6,9 +6,12 @@ interval it:
 1. closes every scheduler's SLA accounting and every host's load model,
 2. lets every decision manager drain its engines' statistics logs
    (refreshing stable-state signatures for applications that met their SLA),
-3. runs the diagnosis procedure for every application in violation, and
-4. applies the resulting actions to the cluster — provisioning replicas,
-   enforcing buffer-pool quotas, or rescheduling query classes.
+3. runs one decision pipeline per violating application (with
+   ``use_forecast``, per application): gates (grace windows, degraded
+   evidence) → proposer (act-ahead, else diagnosis or the capacity planner)
+   → escalation to COARSE_FALLBACK → actuation, which provisions replicas,
+   enforces buffer-pool quotas or reschedules query classes through the
+   fenced, journaled apply path.
 
 Fine-grained retuning can be disabled (``fine_grained=False``) to obtain the
 coarse-only baseline the ablation benches compare against: every violation
@@ -17,7 +20,9 @@ then goes straight to replica provisioning / application isolation.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 from .analyzer import DecisionManager, LogAnalyzer
 from ..cluster.replica import Replica
@@ -34,6 +39,29 @@ from .diagnosis import (
 )
 
 __all__ = ["ControllerConfig", "AppIntervalReport", "ClusterController"]
+
+# Fine-grained retuning kinds: proposing one arms the escalation ladder.
+_FINE_KINDS = frozenset({
+    ActionKind.APPLY_QUOTAS, ActionKind.RESCHEDULE_CLASS,
+    ActionKind.REMOVE_CLASS_FOR_IO, ActionKind.REPORT_LOCK_CONTENTION,
+})
+
+# Prefix of the degraded-evidence gate reason; the quarantine reason follows.
+_DEGRADED = "degraded:"
+
+
+def _set_quotas(engine, quotas: dict[str, int]) -> bool:
+    """Impose ``quotas`` on ``engine``; returns whether any changed.  A
+    near-identical quota only cold-restarts the partition, so a proposal
+    within 15% of the standing quota counts as already applied."""
+    changed = False
+    for context, pages in quotas.items():
+        current = engine.quotas.get(context)
+        if current is not None and abs(pages - current) <= 0.15 * current:
+            continue
+        engine.set_quota(context, pages)
+        changed = True
+    return changed
 
 
 @dataclass(frozen=True)
@@ -108,6 +136,15 @@ class AppIntervalReport:
     throughput: float
     sla_met: bool
     actions: list[Action] = field(default_factory=list)
+
+
+@dataclass
+class _Proposal:
+    """What one proposer wants actuated: explicit actions or a plan."""
+
+    actions: list[Action] = field(default_factory=list)
+    plan: object = None  # a repro.planner CapacityPlan
+    arms_grace: bool = True
 
 
 class ClusterController:
@@ -257,19 +294,18 @@ class ClusterController:
                 if sla_met[app]:
                     self._violation_streak[app] = 0
                     if self.config.use_forecast:
-                        report.actions = self._forecast_react(app, timestamp)
+                        report.actions = self._decide(
+                            app, timestamp, violating=False
+                        )
                     if self.config.scale_down:
                         self._maybe_scale_down(app, timestamp)
                 elif metrics.queries > 0:
                     self._violation_streak[app] = (
                         self._violation_streak.get(app, 0) + 1
                     )
-                    if self.config.use_forecast:
-                        report.actions = self._forecast_react(
-                            app, timestamp, violating=True
-                        )
-                    else:
-                        report.actions = self._react(app, timestamp)
+                    report.actions = self._decide(
+                        app, timestamp, violating=True
+                    )
                 for action in report.actions:
                     registry.counter(
                         "controller.actions", app=app, kind=action.kind.value
@@ -309,14 +345,39 @@ class ClusterController:
             self._low_util_streak[app] = 0
 
     # ------------------------------------------------------------------ #
-    # Reaction                                                           #
+    # Decision pipeline: gates -> proposer -> escalation -> actuation    #
     # ------------------------------------------------------------------ #
 
-    def _react(self, app: str, timestamp: float) -> list[Action]:
+    def _decide(self, app: str, timestamp: float, violating: bool) -> list[Action]:
+        """One app's round.  An app meeting its SLA only gets here with
+        ``use_forecast`` on; a violating app falls back to the reactive
+        proposer whenever act-ahead declines."""
+        gate = self._gate(app)
+        if gate is not None:
+            registry = self.obs.registry
+            if violating and gate.startswith(_DEGRADED) and registry.enabled:
+                registry.counter(
+                    "controller.degraded_skips", app=app,
+                    reason=gate[len(_DEGRADED):],
+                ).inc()
+            return []
+        if self.config.use_forecast and self._ahead_gate(app) is None:
+            actions = self._act_ahead(app, timestamp)
+            if actions:
+                return actions
+        if not violating:
+            return []
+        proposal = self._escalate(app, self._propose(app))
+        if proposal is None:
+            return []
+        return self._actuate_proposal(app, proposal, timestamp)[0]
+
+    def _gate(self, app: str) -> str | None:
+        """Why no proposer may act for ``app`` this round (None = go)."""
         # Cold-start grace: violations in the first intervals after launch
         # come from an empty buffer pool, not from a real change.
         if self._interval_index < self.config.startup_grace_intervals:
-            return []
+            return "startup_grace"
         # Grace period: the previous action needs a warm-up window before
         # its effect is measurable; reacting every interval causes thrashing
         # (each pool rebuild restarts cold and re-violates the SLA).
@@ -326,148 +387,179 @@ class ClusterController:
             and self._interval_index - last_action
             <= self.config.action_grace_intervals
         ):
-            return []
+            return "action_grace"
         # Degraded evidence: a quarantined statistics window means the
         # interval's vectors are missing or corrupt.  Acting on them would
         # retune the cluster off garbage, so the controller sits the round
         # out and retries next interval with (hopefully) clean evidence.
         degraded = self._degraded_evidence(app)
-        if degraded is not None:
-            registry = self.obs.registry
-            if registry.enabled:
-                registry.counter(
-                    "controller.degraded_skips", app=app, reason=degraded
-                ).inc()
+        return None if degraded is None else _DEGRADED + degraded
+
+    def _ahead_gate(self, app: str) -> str | None:
+        """Why the act-ahead proposer may not fire (None = go)."""
+        if self.forecaster is None:
+            return "forecaster_cold"
+        if self.schedulers[app].health.any_down:
+            # Mid-failover the topology the forecaster learned no longer
+            # exists; planning against it only thrashes the survivors.
+            return "failover"
+        return None
+
+    def _act_ahead(self, app: str, timestamp: float) -> list[Action]:
+        """Act ahead of a *predicted* violation (``[]`` = declined): plan
+        against the predicted snapshot so the fix lands before the breach,
+        or, for a violation forecast to persist, before the reactive
+        patience ladder would.  An act that changed nothing declines too."""
+        decision, forecast = self.forecaster.consider(
+            app, self._interval_index
+        )
+        if not decision.act or forecast is None:
             return []
-        scheduler = self.schedulers[app]
-        views = self._views_of(app)
-        if not self.config.fine_grained:
-            action = Action(
-                kind=ActionKind.COARSE_FALLBACK,
+        plan = self._plan(app, forecast)
+        if plan.empty:
+            # No fine-grained move improves the predicted snapshot, but the
+            # violation forecast stands: scale out ahead of the breach (the
+            # PerfEnforce move).  The predicted latency comes from the whole
+            # app, not one class, so added capacity is the remaining lever.
+            proposal = _Proposal(actions=[Action(
+                kind=ActionKind.PROVISION_REPLICA,
                 app=app,
-                reason="fine-grained retuning disabled (coarse-only baseline)",
-            )
-            with self.obs.tracer.span(
-                "actions.apply", attrs={"app": app, "kinds": action.kind.value}
-            ) as span:
-                applied = self._apply(action, timestamp)
-                span.set_attr("applied", int(applied))
-                span.add_cost(1)
-            return [action]
-
-        if self.config.use_planner:
-            return self._react_with_planner(app, timestamp)
-
-        diagnosis = diagnose(
-            app, scheduler, views, self.config.diagnosis, obs=self.obs
-        )
-        self.diagnoses.append(diagnosis)
-        actions = list(diagnosis.actions)
-        streak = self._violation_streak.get(app, 0)
-        fine_kinds = {
-            ActionKind.APPLY_QUOTAS,
-            ActionKind.RESCHEDULE_CLASS,
-            ActionKind.REMOVE_CLASS_FOR_IO,
-            ActionKind.REPORT_LOCK_CONTENTION,
-        }
-        # The diagnosis itself escalates to COARSE_FALLBACK when it finds
-        # nothing actionable; here the controller additionally escalates when
-        # fine-grained actions were *tried* and the SLA is still violated
-        # past the patience budget, or when diagnosis has been inconclusive
-        # for much longer (it may legitimately wait for window coverage).
-        tried_fine = self._fine_action_tried.get(app, False)
-        exhausted = (streak > self.config.fallback_patience and tried_fine) or (
-            streak > 2 * self.config.fallback_patience + 2
-        )
-        if exhausted and all(
-            a.kind in fine_kinds or a.kind is ActionKind.NO_ACTION for a in actions
-        ):
-            actions = [
-                Action(
-                    kind=ActionKind.COARSE_FALLBACK,
-                    app=app,
-                    reason=(
-                        f"SLA still violated after {streak} intervals of "
-                        "fine-grained retuning"
-                    ),
-                )
-            ]
-        if any(a.kind in fine_kinds for a in actions):
-            self._fine_action_tried[app] = True
-        with self.obs.tracer.span(
-            "actions.apply",
-            attrs={
-                "app": app,
-                "kinds": ",".join(sorted({a.kind.value for a in actions})),
-            },
-        ) as span:
-            applied = [a for a in actions if self._apply(a, timestamp)]
-            span.set_attr("applied", len(applied))
-            span.add_cost(len(actions))
-        if applied:
-            self._last_action_interval[app] = self._interval_index
+                reason=(
+                    f"forecast: predicted latency "
+                    f"{decision.predicted_latency:.3f} > threshold "
+                    f"{decision.threshold:.3f}, no fine-grained move"
+                ),
+            )])
+        else:
+            proposal = _Proposal(plan=plan)
+        actions, applied = self._actuate_proposal(app, proposal, timestamp)
+        if not applied:
+            # Server pool exhausted, or every step no-opped (quota within
+            # the thrash guard, class already placed): refund the token.
+            self.forecaster.note_empty_plan(app, self._interval_index)
+            return []
+        if plan.empty:
+            self.forecaster.note_scale_out()
+        else:
+            self.forecaster.note_plan_applied()
         return actions
 
-    # ------------------------------------------------------------------ #
-    # Planner-driven reaction (ControllerConfig.use_planner)             #
-    # ------------------------------------------------------------------ #
+    def _propose(self, app: str) -> _Proposal:
+        """The reactive proposer: coarse-only, planner or diagnosis."""
+        if not self.config.fine_grained:
+            # The coarse-only baseline arms no action grace: it provisions
+            # on every violating interval.
+            reason = "fine-grained retuning disabled (coarse-only baseline)"
+            return _Proposal(
+                actions=[self._coarse_fallback(app, reason)], arms_grace=False
+            )
+        if self.config.use_planner:
+            return _Proposal(plan=self._plan(app))
+        diagnosis = diagnose(
+            app, self.schedulers[app], self._views_of(app),
+            self.config.diagnosis, obs=self.obs,
+        )
+        self.diagnoses.append(diagnosis)
+        return _Proposal(actions=list(diagnosis.actions))
 
-    def _react_with_planner(self, app: str, timestamp: float) -> list[Action]:
-        """Ask the global capacity planner instead of the quota path."""
+    def _plan(self, app: str, forecast=None):
+        """Search a capacity plan against the live snapshot, or against the
+        one ``forecast`` predicts at its horizon."""
         # Imported lazily: the planner depends on core, so a module-level
         # import would be a cycle — and the default path never needs it.
         from ..planner import PlannerConfig, build_snapshot, search_plan
 
-        registry = self.obs.registry
-        with self.obs.tracer.span(
-            "planner.plan", attrs={"app": app}
-        ) as span:
+        if forecast is None:
+            name, attrs, seed = "planner", {"app": app}, self.config.planner_seed
+        else:
+            name, seed = "forecast", self.config.forecast_seed
+            attrs = {"app": app, "horizon": forecast.horizon}
+        with self.obs.tracer.span(f"{name}.plan", attrs=attrs) as span:
             snapshot = build_snapshot(self, app=app, obs=self.obs)
-            plan = search_plan(
-                snapshot,
-                PlannerConfig(seed=self.config.planner_seed),
-                obs=self.obs,
-            )
+            if forecast is not None:
+                from ..forecast import predicted_snapshot
+
+                snapshot = predicted_snapshot(
+                    snapshot, forecast.horizon,
+                    self.forecaster.app_forecasts(),
+                    self.forecaster.class_forecasts(),
+                )
+            plan = search_plan(snapshot, PlannerConfig(seed=seed), obs=self.obs)
             span.set_attr("steps", len(plan.steps))
         self.plans.append(plan)
-        if registry.enabled:
-            registry.counter("planner.plans", app=app).inc()
+        if self.obs.registry.enabled:
+            self.obs.registry.counter(f"{name}.plans", app=app).inc()
+        return plan
+
+    def _exhausted(self, app: str) -> bool:
+        """Fine-grained retuning was *tried* and the SLA is still violated
+        past the patience budget, or the proposer has been inconclusive for
+        much longer (diagnosis may legitimately wait for window coverage)."""
         streak = self._violation_streak.get(app, 0)
-        if plan.empty:
-            # Same escalation contract as the fine-grained path: a planner
-            # with no improving move left is "fine-grained exhausted".
-            exhausted = (
-                streak > self.config.fallback_patience
-                and self._fine_action_tried.get(app, False)
-            ) or streak > 2 * self.config.fallback_patience + 2
-            if not exhausted:
-                return []
-            action = Action(
-                kind=ActionKind.COARSE_FALLBACK,
-                app=app,
-                reason=(
-                    f"planner found no improving move after {streak} "
-                    "intervals of violation"
-                ),
+        patience = self.config.fallback_patience
+        tried_fine = self._fine_action_tried.get(app, False)
+        return (streak > patience and tried_fine) or streak > 2 * patience + 2
+
+    @staticmethod
+    def _coarse_fallback(app: str, reason: str) -> Action:
+        return Action(kind=ActionKind.COARSE_FALLBACK, app=app, reason=reason)
+
+    def _escalate(self, app: str, proposal: _Proposal) -> _Proposal | None:
+        """Swap an exhausted fine-grained proposal for COARSE_FALLBACK;
+        ``None`` = nothing to actuate (an empty plan, patience left)."""
+        streak = self._violation_streak.get(app, 0)
+        if proposal.plan is not None:
+            if not proposal.plan.empty:
+                return proposal
+            if not self._exhausted(app):
+                return None
+            reason = (
+                f"planner found no improving move after {streak} "
+                "intervals of violation"
             )
+        elif self._exhausted(app) and all(
+            a.kind in _FINE_KINDS or a.kind is ActionKind.NO_ACTION
+            for a in proposal.actions
+        ):
+            reason = (
+                f"SLA still violated after {streak} intervals of "
+                "fine-grained retuning"
+            )
+        else:
+            return proposal
+        return _Proposal(actions=[self._coarse_fallback(app, reason)])
+
+    def _actuate_proposal(
+        self, app: str, proposal: _Proposal, timestamp: float
+    ) -> tuple[list[Action], int]:
+        """Apply ``proposal``: (actions to report, how many applied).
+
+        Explicit actions are reported as proposed, under one ``actions.apply``
+        span; a plan reports the actions its steps applied.  Proposing a fine
+        kind, or applying a plan step, arms the escalation ladder; applying
+        anything arms the action grace unless the proposal opts out."""
+        if proposal.plan is not None:
+            actions = self.apply_plan(proposal.plan, timestamp, app=app)
+            applied = len(actions)
+            tried_fine = applied > 0
+        else:
+            actions = proposal.actions
+            tried_fine = any(a.kind in _FINE_KINDS for a in actions)
+            kinds = ",".join(sorted({a.kind.value for a in actions}))
             with self.obs.tracer.span(
-                "actions.apply",
-                attrs={"app": app, "kinds": action.kind.value},
+                "actions.apply", attrs={"app": app, "kinds": kinds}
             ) as span:
-                applied = self._apply(action, timestamp)
-                span.set_attr("applied", int(applied))
-                span.add_cost(1)
-            if applied:
-                self._last_action_interval[app] = self._interval_index
-            return [action]
-        actions = self.apply_plan(plan, timestamp)
-        if actions:
-            self._last_action_interval[app] = self._interval_index
+                applied = sum(self.apply_action(a, timestamp) for a in actions)
+                span.set_attr("applied", applied)
+                span.add_cost(len(actions))
+        if tried_fine:
             self._fine_action_tried[app] = True
-        return actions
+        if applied and proposal.arms_grace:
+            self._last_action_interval[app] = self._interval_index
+        return actions, applied
 
     # ------------------------------------------------------------------ #
-    # Predictive reaction (ControllerConfig.use_forecast)                #
+    # Forecast observation (ControllerConfig.use_forecast)               #
     # ------------------------------------------------------------------ #
 
     def _observe_forecasts(
@@ -478,8 +570,8 @@ class ClusterController:
         """Feed the closed interval to the forecast engine.
 
         Called once per interval, before the report loop, so the engine's
-        forecasts already include this interval's measurements when
-        :meth:`_forecast_react` consults them.  Also resolves any act-ahead
+        forecasts already include this interval's measurements when the
+        act-ahead proposer consults them.  Also resolves any act-ahead
         predictions whose windows this interval closes.
         """
         # Lazy for the same reason as the planner: forecast depends on the
@@ -555,128 +647,21 @@ class ClusterController:
                 self.forecaster.policy.budget
             )
 
-    def _forecast_react(
-        self, app: str, timestamp: float, violating: bool = False
+    # ------------------------------------------------------------------ #
+    # Capacity plans                                                     #
+    # ------------------------------------------------------------------ #
+
+    def apply_plan(
+        self, plan, timestamp: float, app: str | None = None
     ) -> list[Action]:
-        """Act ahead of a *predicted* violation.
-
-        Two cases share the same forecast/policy/planner machinery:
-
-        * ``violating=False`` — the app currently meets its SLA but the
-          forecast says it won't for long: fire the planner against the
-          predicted snapshot so the fix lands before the breach.
-        * ``violating=True`` — the app is already violating and the
-          forecast says the violation *persists* beyond the horizon: skip
-          the reactive path's fine-grained patience ladder and go straight
-          to the capacity planner, sparing the intervals the ladder would
-          have burned.  When the forecast is cold, low-confidence, or
-          predicts recovery, this falls back to the classic reactive path
-          unchanged (the confidence/fallback contract).
-
-        Reuses the reactive path's guards — startup grace, post-action
-        grace, quarantined evidence — before the forecast is even
-        consulted, so predictive action can never thrash where reactive
-        action would have held back.  A grace-skipped interval emits no
-        forecast record: nothing was predicted on.
-        """
-
-        def fallback() -> list[Action]:
-            return self._react(app, timestamp) if violating else []
-
-        if self.forecaster is None:
-            return fallback()
-        if self._interval_index < self.config.startup_grace_intervals:
-            return fallback()
-        last_action = self._last_action_interval.get(app)
-        if (
-            last_action is not None
-            and self._interval_index - last_action
-            <= self.config.action_grace_intervals
-        ):
-            return fallback()
-        if self._degraded_evidence(app) is not None:
-            return fallback()
-        if self.schedulers[app].health.any_down:
-            # Mid-failover the topology the forecaster learned no longer
-            # exists; planning against it only thrashes the survivors.
-            # Hold predictive fire until the cluster is whole again.
-            return fallback()
-        decision, forecast = self.forecaster.consider(
-            app, self._interval_index
-        )
-        if not decision.act or forecast is None:
-            return fallback()
-        from ..forecast import predicted_snapshot
-        from ..planner import PlannerConfig, build_snapshot, search_plan
-
-        registry = self.obs.registry
-        with self.obs.tracer.span(
-            "forecast.plan",
-            attrs={"app": app, "horizon": forecast.horizon},
-        ) as span:
-            snapshot = build_snapshot(self, app=app, obs=self.obs)
-            predicted = predicted_snapshot(
-                snapshot,
-                forecast.horizon,
-                self.forecaster.app_forecasts(),
-                self.forecaster.class_forecasts(),
-            )
-            plan = search_plan(
-                predicted,
-                PlannerConfig(seed=self.config.forecast_seed),
-                obs=self.obs,
-            )
-            span.set_attr("steps", len(plan.steps))
-        self.plans.append(plan)
-        if registry.enabled:
-            registry.counter("forecast.plans", app=app).inc()
-        if plan.empty:
-            # No fine-grained move improves the predicted snapshot, but the
-            # violation forecast stands: scale out ahead of the breach (the
-            # PerfEnforce move).  The predicted latency comes from the whole
-            # app, not one class, so added capacity is the remaining lever.
-            action = Action(
-                kind=ActionKind.PROVISION_REPLICA,
-                app=app,
-                reason=(
-                    f"forecast: predicted latency "
-                    f"{decision.predicted_latency:.3f} > threshold "
-                    f"{decision.threshold:.3f}, no fine-grained move"
-                ),
-            )
-            with self.obs.tracer.span(
-                "actions.apply",
-                attrs={"app": app, "kinds": action.kind.value},
-            ) as span:
-                applied = self._apply(action, timestamp)
-                span.set_attr("applied", int(applied))
-                span.add_cost(1)
-            if not applied:
-                # Server pool exhausted: nothing we can do ahead of time.
-                self.forecaster.note_empty_plan(app, self._interval_index)
-                return fallback()
-            self._last_action_interval[app] = self._interval_index
-            self.forecaster.note_scale_out()
-            return [action]
-        actions = self.apply_plan(plan, timestamp)
-        if actions:
-            self._last_action_interval[app] = self._interval_index
-            self._fine_action_tried[app] = True
-            self.forecaster.note_plan_applied()
-            return actions
-        # Every step no-opped at apply time (quota within the thrash
-        # guard, class already placed): nothing changed, so treat it
-        # like an empty plan and refund the act-ahead token.
-        self.forecaster.note_empty_plan(app, self._interval_index)
-        return fallback()
-
-    def apply_plan(self, plan, timestamp: float) -> list[Action]:
         """Actuate a :class:`~repro.planner.plan.CapacityPlan`.
 
-        Steps are applied in plan order; ADD_REPLICA steps materialise the
-        plan's placeholder pools and later steps resolve against the engines
-        they created.  Returns the actions actually applied (releases follow
-        the scale-down precedent and emit no action).
+        Steps are applied in plan order, each through :meth:`apply_action`;
+        ADD_REPLICA steps materialise the plan's placeholder pools and later
+        steps resolve against the engines they created.  Returns the actions
+        actually applied (releases emit none, as in scale-down).  Actions
+        carry ``app``, the app whose round the plan answers (default: each
+        step's own), so the journal replays the action grace onto it.
         """
         from ..planner.plan import PlanStepKind
 
@@ -687,7 +672,8 @@ class ClusterController:
         ) as span:
             for step in plan.steps:
                 action = self._apply_plan_step(
-                    step, PlanStepKind, placeholder_engines, timestamp
+                    step, PlanStepKind, app or step.app, placeholder_engines,
+                    timestamp,
                 )
                 if action is not None:
                     actions.append(action)
@@ -698,9 +684,7 @@ class ClusterController:
     def _engine_replica(self, engine_name: str, app: str | None = None):
         """(scheduler, replica) serving ``engine_name``, optionally for one
         application.  Raises ``KeyError`` when no replica matches."""
-        for name in sorted(self.schedulers):
-            if app is not None and name != app:
-                continue
+        for name in sorted(self.schedulers) if app is None else [app]:
             scheduler = self.schedulers[name]
             for replica_name in scheduler.replica_names():
                 replica = scheduler.replicas[replica_name]
@@ -711,86 +695,13 @@ class ClusterController:
         )
 
     def _apply_plan_step(
-        self, step, kinds, placeholder_engines: dict[str, str], timestamp: float
+        self, step, kinds, app: str, placeholder_engines: dict[str, str],
+        timestamp: float,
     ) -> Action | None:
-        if step.kind is kinds.ADD_REPLICA:
-            scheduler = self.schedulers[step.app]
-            pool_pages = max(
-                (
-                    replica.engine.pool_pages
-                    for replica in scheduler.replicas.values()
-                ),
-                default=8192,
-            )
-            try:
-                replica = self.resource_manager.allocate_replica(
-                    scheduler,
-                    timestamp,
-                    pool_pages=pool_pages,
-                    server=step.server,
-                )
-            except (RuntimeError, KeyError):
-                return None  # server taken since planning; skip the branch
-            self.track_replica(replica)
-            placeholder_engines[step.pool] = replica.engine.name
-            return Action(
-                kind=ActionKind.PROVISION_REPLICA,
-                app=step.app,
-                reason=f"planner: {step.rationale}",
-                replica=replica.name,
-            )
-        if step.kind is kinds.MIGRATE_CLASS:
-            engine_name = placeholder_engines.get(step.pool, step.pool)
-            try:
-                scheduler, replica = self._engine_replica(
-                    engine_name, app=step.app
-                )
-            except KeyError:
-                return None  # target pool never materialised
-            if scheduler.placement_of(step.context_key) == [replica.name]:
-                return None  # already exactly there
-            scheduler.move_class(step.context_key, replica.name)
-            return Action(
-                kind=ActionKind.RESCHEDULE_CLASS,
-                app=step.app,
-                reason=f"planner: {step.rationale}",
-                replica=replica.name,
-                context_key=step.context_key,
-            )
-        if step.kind is kinds.SET_QUOTA:
-            engine_name = placeholder_engines.get(step.pool, step.pool)
-            try:
-                _, replica = self._engine_replica(engine_name)
-            except KeyError:
-                return None
-            current = replica.engine.quotas.get(step.context_key)
-            # Same thrash guard as the quota path: re-imposing a
-            # near-identical quota only cold-restarts the partition.
-            if current is not None and abs(step.pages - current) <= 0.15 * current:
-                return None
-            replica.engine.set_quota(step.context_key, step.pages)
-            return Action(
-                kind=ActionKind.APPLY_QUOTAS,
-                app=step.app,
-                reason=f"planner: {step.rationale}",
-                replica=replica.name,
-                quotas=((step.context_key, step.pages),),
-            )
-        if step.kind is kinds.CLEAR_QUOTA:
-            engine_name = placeholder_engines.get(step.pool, step.pool)
-            try:
-                _, replica = self._engine_replica(engine_name)
-            except KeyError:
-                return None
-            if step.context_key not in replica.engine.quotas:
-                return None
-            replica.engine.clear_quota(step.context_key)
-            return Action(
-                kind=ActionKind.APPLY_QUOTAS,
-                app=step.app,
-                reason=f"planner: {step.rationale}",
-                replica=replica.name,
-            )
+        """Apply one step; returns its action when something changed.  A
+        step whose target pool is gone is skipped before it becomes an
+        action."""
+        reason = f"planner: {step.rationale}"
         if step.kind is kinds.RELEASE_REPLICA:
             # Mirrors _maybe_scale_down: releases change the allocation
             # timeline (ResourceManager.history) but emit no Action.
@@ -800,13 +711,78 @@ class ClusterController:
                 )
             except KeyError:
                 return None
-            if len(scheduler.replicas) <= 1:
-                return None
-            self.resource_manager.release_replica(
-                scheduler, replica.name, timestamp
-            )
+            if len(scheduler.replicas) > 1:
+                self.resource_manager.release_replica(
+                    scheduler, replica.name, timestamp
+                )
             return None
-        return None
+        if step.kind is kinds.ADD_REPLICA:
+            scheduler = self.schedulers[step.app]
+            pool_pages = max(
+                (r.engine.pool_pages for r in scheduler.replicas.values()),
+                default=8192,
+            )
+            created: list[Replica | None] = []
+
+            def actuate() -> bool:
+                created.append(self._provision(
+                    scheduler, timestamp, pool_pages=pool_pages,
+                    server=step.server,
+                ))
+                return created[0] is not None
+
+            action = Action(kind=ActionKind.PROVISION_REPLICA, app=app, reason=reason)
+            if not self.apply_action(action, timestamp, actuate):
+                return None  # server taken since planning; skip the branch
+            placeholder_engines[step.pool] = created[0].engine.name
+            return replace(action, replica=created[0].name)
+        migrate = step.kind is kinds.MIGRATE_CLASS
+        try:
+            scheduler, replica = self._engine_replica(
+                placeholder_engines.get(step.pool, step.pool),
+                app=step.app if migrate else None,
+            )
+        except KeyError:
+            return None  # target pool never materialised
+        key, engine = step.context_key, replica.engine
+        if migrate:
+            action = Action(
+                kind=ActionKind.RESCHEDULE_CLASS, app=app, reason=reason,
+                replica=replica.name, context_key=key,
+            )
+
+            def actuate() -> bool:
+                if scheduler.placement_of(key) == [replica.name]:
+                    return False  # already exactly there
+                scheduler.move_class(key, replica.name)
+                return True
+
+        elif step.kind is kinds.SET_QUOTA:
+            action = Action(
+                kind=ActionKind.APPLY_QUOTAS, app=app, reason=reason,
+                replica=replica.name, quotas=((key, step.pages),),
+            )
+
+            def actuate() -> bool:
+                return _set_quotas(engine, {key: step.pages})
+
+        elif step.kind is kinds.CLEAR_QUOTA:
+            # A quota action naming a context but no pages is a clear (the
+            # reconcile pass folds it that way).
+            action = Action(
+                kind=ActionKind.APPLY_QUOTAS, app=app, reason=reason,
+                replica=replica.name, context_key=key,
+            )
+
+            def actuate() -> bool:
+                if key not in engine.quotas:
+                    return False
+                engine.clear_quota(key)
+                return True
+
+        else:
+            return None
+        return action if self.apply_action(action, timestamp, actuate) else None
 
     def _degraded_evidence(self, app: str) -> str | None:
         """The quarantine reason when any analyzer serving ``app`` closed a
@@ -841,8 +817,11 @@ class ClusterController:
             )
         return views
 
-    def apply_action(self, action: Action, timestamp: float) -> bool:
-        """Epoch-checked, journaled actuation (the public apply path).
+    def apply_action(
+        self, action: Action, timestamp: float,
+        actuate: Callable[[], bool] | None = None,
+    ) -> bool:
+        """Epoch-checked, journaled actuation (the one apply path).
 
         Without recovery installed this is plain actuation.  With a fence,
         an unstamped action (epoch 0) is stamped with the current epoch; a
@@ -851,9 +830,15 @@ class ClusterController:
         admitted is journaled write-ahead (``intent``) before actuating
         and confirmed (``applied``) after, so a crash at any point leaves
         enough evidence for the restart reconcile pass.
+
+        ``actuate`` replaces the default per-kind actuation; capacity-plan
+        steps pass one because they name exact targets (a server, a
+        replica) where reactive actions only name what to avoid.
         """
+        if actuate is None:
+            actuate = partial(self._actuate, action, timestamp)
         if self.fence is None:
-            return self._actuate(action, timestamp)
+            return actuate()
         if action.epoch == 0:
             action = replace(action, epoch=self.fence.epoch)
         if not self.fence.admits(action.epoch):
@@ -867,15 +852,12 @@ class ClusterController:
             self.journal.record_intent(
                 action, action.epoch, self._interval_index, timestamp
             )
-        applied = self._actuate(action, timestamp)
+        applied = actuate()
         if self.journal is not None:
             self.journal.record_applied(
                 action, action.epoch, self._interval_index, timestamp, applied
             )
         return applied
-
-    def _apply(self, action: Action, timestamp: float) -> bool:
-        return self.apply_action(action, timestamp)
 
     def _actuate(self, action: Action, timestamp: float) -> bool:
         """Actuate one action; returns whether anything actually changed."""
@@ -883,18 +865,8 @@ class ClusterController:
         if action.kind is ActionKind.PROVISION_REPLICA:
             return self._provision(scheduler, timestamp) is not None
         if action.kind is ActionKind.APPLY_QUOTAS:
-            replica = scheduler.replicas[action.replica]
-            changed = False
-            existing = replica.engine.quotas
-            for context, pages in action.quota_map().items():
-                current = existing.get(context)
-                # Re-imposing a near-identical quota only cold-restarts the
-                # partitions; treat within-15% proposals as already applied.
-                if current is not None and abs(pages - current) <= 0.15 * current:
-                    continue
-                replica.engine.set_quota(context, pages)
-                changed = True
-            return changed
+            engine = scheduler.replicas[action.replica].engine
+            return _set_quotas(engine, action.quota_map())
         if action.kind in (
             ActionKind.RESCHEDULE_CLASS,
             ActionKind.REMOVE_CLASS_FOR_IO,
@@ -921,14 +893,16 @@ class ClusterController:
         return False  # NO_ACTION applies nothing.
 
     def _provision(
-        self, scheduler: Scheduler, timestamp: float, exclusive: bool = False
+        self, scheduler: Scheduler, timestamp: float, exclusive: bool = False,
+        pool_pages: int = 8192, server: str | None = None,
     ) -> Replica | None:
         try:
             replica = self.resource_manager.allocate_replica(
-                scheduler, timestamp, exclusive=exclusive
+                scheduler, timestamp, pool_pages=pool_pages,
+                exclusive=exclusive, server=server,
             )
-        except RuntimeError:
-            return None  # pool exhausted; nothing to do
+        except (RuntimeError, KeyError):
+            return None  # pool exhausted or pinned server unavailable
         self.track_replica(replica)
         return replica
 

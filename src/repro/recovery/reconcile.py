@@ -9,7 +9,8 @@ placements, compares each against what the cluster actually has, and
 repairs only genuine divergence:
 
 * a quota the journal actuated but the engine no longer carries (or
-  carries at a different size) is re-imposed at the journaled value;
+  carries at a different size) is re-imposed at the journaled value,
+  unless a later entry cleared it;
 * a class the journal pinned that routing no longer pins is re-isolated
   through the controller's normal rescheduling path;
 * provisioning and lock-contention reports are durable or report-only —
@@ -61,6 +62,9 @@ def _fold_intent(journal: ActionJournal):
         if record.action_kind == _QUOTA_KIND and record.replica is not None:
             for context, pages in record.quotas:
                 quotas[(record.app, record.replica, context)] = pages
+            if record.context_key is not None and not record.quotas:
+                # A capacity plan's CLEAR_QUOTA: no quota is intended.
+                quotas.pop((record.app, record.replica, record.context_key), None)
         elif record.action_kind in _PLACEMENT_KINDS:
             if record.context_key is not None:
                 placements[record.context_key] = record
@@ -75,11 +79,9 @@ def reconcile(
     quotas, placements = _fold_intent(journal)
 
     for (app, replica_name, context), pages in sorted(quotas.items()):
-        scheduler = controller.schedulers.get(app)
-        replica = (
-            scheduler.replicas.get(replica_name) if scheduler is not None
-            else None
-        )
+        # A plan's quota may sit on another app's replica of a shared engine.
+        owners = [s for s in controller.schedulers.values() if replica_name in s.replicas]
+        replica = owners[0].replicas[replica_name] if owners else None
         if replica is None:
             report.abandoned.append(
                 f"quota:{replica_name}:{context} (replica released)"

@@ -136,8 +136,9 @@ class TestEmptyPlanIsFree:
 
 class TestSeededStormRegressions:
     """Storm seeds whose plans overlap a ``tpcw-r1`` crash/recover with a
-    write stall.  They used to abort: the async write path force-applied a
-    queued write that recovery catch-up had already replayed."""
+    write stall.  Seeds 2 and 18 used to abort because the async write path
+    force-applied a queued write that recovery catch-up had already
+    replayed; seed 3 because no current replica was left to read from."""
 
     @pytest.mark.parametrize("seed", [2, 18])
     def test_storm_runs_to_completion(self, seed):
@@ -146,6 +147,21 @@ class TestSeededStormRegressions:
         assert result.faults_injected["replica_crash"] == 1
         assert result.faults_injected["replica_recover"] == 1
         assert result.faults_injected["write_stall"] >= 2
+        assert len(result.sla_series) + result.missed_intervals == config.intervals
+        assert result.duplicate_actions == 0
+        assert result.sla_met_at_end()
+
+    def test_second_crash_during_a_write_stall_keeps_reads_served(self):
+        # Seed 3 crashes tpcw-r1 twice; the second crash lands inside a
+        # write stall while tpcw-r1 is the only current replica.  Reads
+        # used to abort with "no current online replica"; a survivor now
+        # takes its stalled backlog and serves them.
+        config = ChaosStormConfig(seed=3)
+        result = run_chaos_storm(config)
+        assert result.faults_injected["replica_crash"] == 2
+        assert result.faults_injected["replica_recover"] == 2
+        assert result.faults_injected["write_stall"] == 2
+        assert result.faults_injected["controller_crash"] == 1
         assert len(result.sla_series) + result.missed_intervals == config.intervals
         assert result.duplicate_actions == 0
         assert result.sla_met_at_end()

@@ -138,6 +138,35 @@ class TestAsyncWrites:
         scheduler.remove_replica(lagging)
         assert scheduler.pending_writes == 0
 
+    def test_read_promotes_a_survivor_when_the_current_replica_fails(self):
+        scheduler = make_scheduler(replicas=3, delay=0.05)
+        scheduler.stall_propagation(until=1000.0)
+        scheduler.submit(make_class(write=True), 0.0)  # r0 is primary
+        scheduler.submit(make_class(write=True), 0.0)  # r1 catches up, primary
+        scheduler.replicas["r1"].fail()
+        # r1 was the only current replica and the stall holds the others'
+        # backlogs: the read finds r1 dead, then promotes r0, which lags by
+        # one write (r2 lags by two), instead of failing the read.
+        scheduler.submit(make_class("r"), 1.0)
+        executions = {
+            name: scheduler.replicas[name].engine.executor.executions
+            for name in scheduler.replica_names()
+        }
+        # r0: its first write, the promoted backlog write, then the read.
+        assert executions == {"r0": 3, "r1": 2, "r2": 0}
+        assert scheduler.replication.is_current("r0")
+        assert scheduler.replication.lag_of("r2") == 2
+        assert not scheduler.health.is_up("r1")
+
+    def test_read_still_fails_with_no_survivor(self):
+        scheduler = make_scheduler(replicas=2, delay=0.05)
+        scheduler.stall_propagation(until=1000.0)
+        scheduler.submit(make_class(write=True), 0.0)
+        for name in scheduler.replica_names():
+            scheduler.replicas[name].fail()
+        with pytest.raises(RuntimeError, match="no current online replica"):
+            scheduler.submit(make_class("r"), 1.0)
+
     def test_rejects_negative_delay(self):
         with pytest.raises(ValueError):
             Scheduler("app", async_replication=True, propagation_delay=-1.0)

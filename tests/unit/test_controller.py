@@ -10,6 +10,7 @@ from repro.core.controller import ClusterController, ControllerConfig
 from repro.core.diagnosis import Action, ActionKind
 from repro.engine.access import AccessPattern, ExecutionAccess
 from repro.engine.query import QueryClass
+from repro.obs import Observability
 
 
 class _ScriptedPattern(AccessPattern):
@@ -28,11 +29,11 @@ def make_class(name="q", app="app", cpu=5.0):
     return QueryClass(name, app, 1, f"select {name}", _ScriptedPattern(), cpu_cost=cpu)
 
 
-def make_cluster(servers=3, config=None, cores=1):
+def make_cluster(servers=3, config=None, cores=1, obs=None):
     manager = ResourceManager()
     for index in range(servers):
         manager.add_server(PhysicalServer(f"s{index}", ServerSpec(cores=cores)))
-    controller = ClusterController(manager, config=config)
+    controller = ClusterController(manager, config=config, obs=obs)
     scheduler = Scheduler("app")
     controller.add_scheduler(scheduler)
     manager.allocate_replica(scheduler, 0.0)
@@ -116,6 +117,59 @@ class TestCpuProvisioning:
         assert len(scheduler.replicas) == 2
 
 
+class TestDecisionPipeline:
+    """The contract of the gates -> proposer -> escalation -> actuation
+    pipeline that the committed goldens depend on."""
+
+    def degraded_round(self, violating):
+        obs = Observability()
+        _, controller, scheduler = make_cluster(
+            config=ControllerConfig(
+                use_forecast=True, startup_grace_intervals=0
+            ),
+            obs=obs,
+        )
+        replica = next(iter(scheduler.replicas.values()))
+        controller.analyzer_of(replica).inject_stats_gap()
+        if violating:
+            saturate(scheduler)
+        else:
+            scheduler.submit(make_class(cpu=0.01), 0.0)
+        (report,) = controller.close_interval(10.0)
+        assert report.sla_met is not violating
+        assert report.actions == []
+        return obs.registry.value(
+            "controller.degraded_skips", app="app", reason="stats-gap"
+        )
+
+    def test_degraded_evidence_skip_counted_once_when_violating(self):
+        assert self.degraded_round(violating=True) == 1
+
+    def test_degraded_evidence_not_counted_when_sla_met(self):
+        assert self.degraded_round(violating=False) == 0
+
+    def test_coarse_only_provisions_on_consecutive_violations(self):
+        # The coarse-only path arms no action grace: it provisions on every
+        # violating interval.  The committed ablations golden
+        # (BENCH_ablations, coarse_vs_fine) depends on this; arming the
+        # grace moves its coarse-only recovered latency.
+        _, controller, scheduler = make_cluster(
+            servers=5,
+            config=ControllerConfig(
+                fine_grained=False,
+                startup_grace_intervals=0,
+                action_grace_intervals=2,
+            ),
+        )
+        for boundary in range(1, 4):
+            saturate(scheduler)
+            (report,) = controller.close_interval(boundary * 10.0)
+            assert [a.kind for a in report.actions] == [
+                ActionKind.COARSE_FALLBACK
+            ]
+            assert len(scheduler.replicas) == 1 + boundary
+
+
 class TestScaleDown:
     def test_idle_overprovisioned_app_shrinks(self):
         manager, controller, scheduler = make_cluster(
@@ -162,7 +216,7 @@ class TestApplyActions:
             replica=replica.name,
             quotas=(("app/q", 512),),
         )
-        assert controller._apply(action, 0.0)
+        assert controller.apply_action(action, 0.0)
         assert replica.engine.quotas == {"app/q": 512}
 
     def test_reapplying_similar_quota_is_noop(self):
@@ -175,7 +229,7 @@ class TestApplyActions:
             replica=replica.name,
             quotas=(("app/q", 512),),
         )
-        controller._apply(first, 0.0)
+        controller.apply_action(first, 0.0)
         similar = Action(
             kind=ActionKind.APPLY_QUOTAS,
             app="app",
@@ -183,7 +237,7 @@ class TestApplyActions:
             replica=replica.name,
             quotas=(("app/q", 540),),
         )
-        assert not controller._apply(similar, 0.0)
+        assert not controller.apply_action(similar, 0.0)
         assert replica.engine.quotas == {"app/q": 512}
 
     def test_reschedule_provisions_when_no_alternative(self):
@@ -196,7 +250,7 @@ class TestApplyActions:
             replica=replica.name,
             context_key="app/q",
         )
-        assert controller._apply(action, 0.0)
+        assert controller.apply_action(action, 0.0)
         assert len(scheduler.replicas) == 2
         placement = scheduler.placement_of("app/q")
         assert len(placement) == 1 and placement[0] != replica.name
@@ -218,19 +272,19 @@ class TestApplyActions:
             replica=victim_replica.name,
             context_key="other/hog",  # ...but the context belongs to `other`
         )
-        controller._apply(action, 0.0)
+        controller.apply_action(action, 0.0)
         assert "other/hog" in other.pinned_contexts()
 
     def test_coarse_fallback_provisions_exclusive(self):
         _, controller, scheduler = make_cluster(servers=2)
         action = Action(kind=ActionKind.COARSE_FALLBACK, app="app", reason="t")
-        assert controller._apply(action, 0.0)
+        assert controller.apply_action(action, 0.0)
         assert len(scheduler.replicas) == 2
 
     def test_no_action_applies_nothing(self):
         _, controller, scheduler = make_cluster()
         action = Action(kind=ActionKind.NO_ACTION, app="app", reason="t")
-        assert not controller._apply(action, 0.0)
+        assert not controller.apply_action(action, 0.0)
 
 
 class TestReporting:

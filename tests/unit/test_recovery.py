@@ -24,7 +24,7 @@ from repro.recovery import (
     RecoveryConfig,
     StaleEpochError,
 )
-from repro.workloads import build_tpcw
+from repro.workloads import ConstantLoad, build_rubis, build_tpcw
 
 
 def make_harness(clients=8, servers=2, recovery=None):
@@ -386,6 +386,83 @@ class TestReconcile:
         assert any("never confirmed" in line for line in report.abandoned)
         replica = harness.replicas_of(workload.app)[0]
         assert replica.engine.quotas == {}
+
+
+class TestPlannedActionsJournaled:
+    """Capacity-plan steps go through the fenced, journaled apply path."""
+
+    def test_planner_action_grace_survives_a_crash(self):
+        from repro.cluster.server import ServerSpec
+        from repro.experiments.index_drop import (
+            CPU_SCALE,
+            EXPERIMENT_COST_MODEL,
+            scale_cpu_costs,
+        )
+
+        # The Table 2 contention story with the planner on: RUBiS floods
+        # the shared pool and the planner answers TPC-W's violation.
+        tpcw, rubis = build_tpcw(seed=7), build_rubis(seed=11)
+        scale_cpu_costs(tpcw, CPU_SCALE)
+        scale_cpu_costs(rubis, CPU_SCALE)
+        harness = ClusterHarness.shared_engine(
+            [tpcw, rubis],
+            clients={tpcw.app: 60, rubis.app: 0},
+            cost_model=EXPERIMENT_COST_MODEL,
+            config=ControllerConfig(fallback_patience=5, use_planner=True),
+            server_spec=ServerSpec(cores=16),
+        )
+        # Checkpoints by hand only, one before every contended close.
+        supervisor = harness.enable_recovery(
+            RecoveryConfig(checkpoint_every_intervals=1000)
+        )
+        harness.run(intervals=10)
+        harness.drivers[rubis.app].load = ConstantLoad(300)
+        controller = harness.controller
+        acted = None
+        while acted is None and controller.interval_index < 18:
+            supervisor.checkpoint_now(harness.clock.now)
+            harness.run(intervals=1)
+            acted = controller._last_action_interval.get(tpcw.app)
+        assert acted is not None and controller.plans[-1].steps
+        # TPC-W's plan moves a RUBiS class, yet its records carry TPC-W:
+        # the app whose grace the action arms.
+        assert {
+            record.action_kind
+            for record in supervisor.journal.entries("applied")
+            if record.app == tpcw.app
+        } >= {"provision_replica", "reschedule_class"}
+        # Crash after the planner action, before the next checkpoint: only
+        # the journal remembers the action.
+        supervisor.crash(harness.clock.now)
+        supervisor.restart(harness.clock.now + 1.0)
+        assert supervisor.restored_interval == acted
+        assert controller._last_action_interval.get(tpcw.app) == acted
+
+    def test_plan_cleared_quota_is_not_reimposed(self):
+        from repro.planner.plan import CapacityPlan, PlanStep, PlanStepKind
+
+        harness, supervisor, workload = make_harness()
+        harness.run(intervals=2)
+        controller = harness.controller
+        replica = harness.replicas_of(workload.app)[0]
+        assert controller.apply_action(
+            quota_action(pages=2000), harness.clock.now
+        )
+        clear = PlanStep(
+            kind=PlanStepKind.CLEAR_QUOTA,
+            app=workload.app,
+            context_key=f"{workload.app}/best_seller",
+            pool=replica.engine.name,
+        )
+        plan = CapacityPlan(
+            seed=0, interval_index=2, score_before=1.0, score_after=0.0,
+            steps=(clear,),
+        )
+        assert controller.apply_plan(plan, harness.clock.now)
+        supervisor.crash(harness.clock.now)
+        supervisor.restart(harness.clock.now + 1.0)
+        assert replica.engine.quotas == {}
+        assert supervisor.last_reconcile.repaired == []
 
 
 class TestFaultPlanIntegration:
