@@ -21,6 +21,7 @@ import numpy as np
 __all__ = [
     "to_jsonable",
     "export_result",
+    "jsonl_text",
     "export_telemetry",
     "allocation_records",
     "export_allocation_history",
@@ -68,6 +69,19 @@ def export_result(path: str | Path, result, indent: int = 2) -> Path:
     return path
 
 
+def jsonl_text(records, meta=None) -> str:
+    """Records as deterministic JSONL text, one sorted-key object per line.
+
+    An optional ``meta`` dict comes first as a ``{"record": "meta", ...}``
+    line, mirroring telemetry exports.
+    """
+    lines = []
+    if meta is not None:
+        lines.append({"record": "meta", **to_jsonable(meta)})
+    lines.extend(records)
+    return "".join(json.dumps(line, sort_keys=True) + "\n" for line in lines)
+
+
 def allocation_records(manager) -> list[dict]:
     """The resource manager's allocation timeline as JSONL-ready records.
 
@@ -92,11 +106,7 @@ def allocation_records(manager) -> list[dict]:
 def export_allocation_history(path: str | Path, manager) -> Path:
     """Write the allocation timeline as JSONL; returns the path."""
     path = Path(path)
-    lines = [
-        json.dumps(record, sort_keys=True)
-        for record in allocation_records(manager)
-    ]
-    path.write_text("".join(line + "\n" for line in lines))
+    path.write_text(jsonl_text(allocation_records(manager)))
     return path
 
 
@@ -112,14 +122,10 @@ def export_quality(path: str | Path, reports, meta=None) -> Path:
     from .quality import quality_records
 
     path = Path(path)
-    records: list[dict] = []
-    if meta is not None:
-        records.append({"record": "meta", **to_jsonable(meta)})
-    for report in reports:
-        records.extend(quality_records(report))
-    path.write_text(
-        "".join(json.dumps(record, sort_keys=True) + "\n" for record in records)
-    )
+    records = [
+        record for report in reports for record in quality_records(report)
+    ]
+    path.write_text(jsonl_text(records, meta))
     return path
 
 
@@ -157,13 +163,7 @@ def export_forecast(path: str | Path, records, meta=None) -> Path:
     the artifact ``repro obs report`` renders and CI uploads.
     """
     path = Path(path)
-    lines: list[dict] = []
-    if meta is not None:
-        lines.append({"record": "meta", **to_jsonable(meta)})
-    lines.extend(forecast_records(records))
-    path.write_text(
-        "".join(json.dumps(line, sort_keys=True) + "\n" for line in lines)
-    )
+    path.write_text(jsonl_text(forecast_records(records), meta))
     return path
 
 

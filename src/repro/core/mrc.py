@@ -16,8 +16,8 @@ the distance of reference ``i`` with previous occurrence ``prev[i]`` is
 of another page collapses one duplicate in the interval), and the
 count-earlier-greater term is evaluated level-by-level with sorted blocks
 and ``numpy.searchsorted`` (a CDQ divide-and-conquer flattened into array
-passes).  The classical per-element Fenwick-tree formulation is kept as
-:func:`stack_distances_fenwick` — the reference the property suite checks
+passes).  The classical per-element Fenwick-tree formulation lives with the
+tests (``tests/mrc_oracle.py``) as the reference the property suite checks
 the vectorised path against.
 
 Two parameters summarise a curve (paper §3.3):
@@ -40,9 +40,7 @@ import numpy as np
 from ..obs.registry import MetricRegistry, NULL_REGISTRY
 
 __all__ = [
-    "FenwickTree",
     "stack_distances",
-    "stack_distances_fenwick",
     "MissRatioCurve",
     "MRCParameters",
     "MRCTracker",
@@ -54,70 +52,6 @@ DEFAULT_ACCEPTABLE_THRESHOLD = 0.05
 """Acceptable miss ratio = ideal miss ratio + this threshold (paper §3.3;
 the paper leaves the constant unspecified — 0.05 places the acceptable
 memory at the knee of both convex and nearly flat curves)."""
-
-
-class FenwickTree:
-    """A binary indexed tree over ``size`` slots supporting point update
-    and prefix sum, used to count still-live last-access markers."""
-
-    def __init__(self, size: int) -> None:
-        if size < 0:
-            raise ValueError(f"size must be non-negative: {size}")
-        self.size = size
-        self._tree = np.zeros(size + 1, dtype=np.int64)
-
-    def add(self, index: int, delta: int) -> None:
-        """Add ``delta`` at 0-based ``index``."""
-        if not 0 <= index < self.size:
-            raise IndexError(f"index {index} outside [0, {self.size})")
-        i = index + 1
-        while i <= self.size:
-            self._tree[i] += delta
-            i += i & (-i)
-
-    def prefix_sum(self, count: int) -> int:
-        """Sum of the first ``count`` slots (0-based exclusive bound)."""
-        if count < 0:
-            raise IndexError(f"count must be non-negative: {count}")
-        count = min(count, self.size)
-        total = 0
-        i = count
-        while i > 0:
-            total += int(self._tree[i])
-            i -= i & (-i)
-        return total
-
-    def range_sum(self, start: int, stop: int) -> int:
-        """Sum of slots in ``[start, stop)``."""
-        if start > stop:
-            raise IndexError(f"invalid range [{start}, {stop})")
-        return self.prefix_sum(stop) - self.prefix_sum(start)
-
-
-def stack_distances_fenwick(trace: Sequence[int] | np.ndarray) -> np.ndarray:
-    """Per-element Fenwick-tree stack distances (reference implementation).
-
-    Same contract as :func:`stack_distances`; kept because its correctness
-    is easy to audit and the property suite uses it as the oracle for the
-    vectorised path.
-    """
-    pages = np.asarray(trace, dtype=np.int64)
-    n = len(pages)
-    distances = np.zeros(n, dtype=np.int64)
-    tree = FenwickTree(n)
-    last_seen: dict[int, int] = {}
-    for i in range(n):
-        page = int(pages[i])
-        prev = last_seen.get(page)
-        if prev is None:
-            distances[i] = 0
-        else:
-            # Distinct pages touched strictly after prev, plus the page itself.
-            distances[i] = tree.range_sum(prev + 1, i) + 1
-            tree.add(prev, -1)
-        tree.add(i, 1)
-        last_seen[page] = i
-    return distances
 
 
 def _count_earlier_greater(values: np.ndarray) -> np.ndarray:
@@ -170,7 +104,7 @@ def stack_distances(trace: Sequence[int] | np.ndarray) -> np.ndarray:
     of references in between whose page re-appears before ``i`` — i.e.
     ``#{k < i : prev[k] > prev[i]}`` — because each such re-reference
     collapses one duplicate in the interval.  Produces bit-identical
-    output to :func:`stack_distances_fenwick`.
+    output to the per-element Fenwick-tree formulation.
     """
     pages = np.asarray(trace, dtype=np.int64)
     n = len(pages)

@@ -191,7 +191,7 @@ class ForecastEngine:
     # ------------------------------------------------------------------ #
 
     def stats(self) -> dict:
-        """JSON-able engine counters (the forecast_smoke gate's view)."""
+        """JSON-able engine counters (checked by the forecast_eval bench)."""
         acted = [r for r in self.records if r.acted]
         return {
             "decisions": len(self.records),

@@ -3,24 +3,30 @@
 The harness's job is to tell two kinds of drift apart: **artefact drift**
 (the deterministic scenario computed something else — a hard failure) and
 **timing drift** (the machine was slower — a warning).  These tests pin
-the comparison logic, the canonical digest, and the ``BENCH_<name>.json``
-round-trip on synthetic runs, so they cost milliseconds.
+the comparison logic, the canonical digest, the ``BENCH_<name>.json``
+round-trip, and the ``repro bench`` driver's verdicts on synthetic runs and
+a stand-in registry, so they cost milliseconds.
 """
 
+import argparse
 import json
 
 import pytest
 
+from repro.experiments import bench
 from repro.experiments.bench import (
     BENCH_SCENARIOS,
     BenchRun,
+    ScenarioOutcome,
+    add_bench_arguments,
     artefact_digest,
     artefact_lines,
     baseline_path,
     compare_with_baseline,
     load_baseline,
-    merge_pytest_benchmark_timings,
     resolve_names,
+    run_bench,
+    run_bench_command,
     write_baseline,
 )
 
@@ -60,6 +66,13 @@ class TestDigest:
     def test_digest_ignores_timing(self):
         slower = BenchRun(RUN.name, RUN.artefact, RUN.seconds * 10)
         assert artefact_digest([slower]) == artefact_digest([RUN])
+
+    def test_digest_ignores_invariants_and_exports(self):
+        noisy = BenchRun(
+            RUN.name, RUN.artefact, RUN.seconds,
+            failures=("latency too high",), exports={"x.jsonl": "{}\n"},
+        )
+        assert artefact_digest([noisy]) == artefact_digest([RUN])
 
     def test_digest_sees_artefact_changes(self):
         changed = BenchRun(RUN.name, {**RUN.artefact, "latency": 0.6}, RUN.seconds)
@@ -129,20 +142,66 @@ class TestBaselineFiles:
     def test_missing_baseline_is_none(self, tmp_path):
         assert load_baseline(tmp_path, "demo") is None
 
-    def test_merge_pytest_benchmark_timings(self, tmp_path):
-        write_baseline(BenchRun("ablations", {"x": 1}, 1.0), tmp_path)
-        report = {
-            "benchmarks": [
-                {"name": "test_ablation_quota_vs_reschedule",
-                 "stats": {"mean": 2.0}},
-                {"name": "test_ablation_coarse_vs_fine",
-                 "stats": {"mean": 3.0}},
-                {"name": "test_unrelated", "stats": {"mean": 99.0}},
-            ]
-        }
-        report_path = tmp_path / "report.json"
-        report_path.write_text(json.dumps(report))
-        updated = merge_pytest_benchmark_timings(report_path, tmp_path)
-        assert updated == ["ablations"]
-        merged = load_baseline(tmp_path, "ablations")
-        assert merged["timing"]["seconds"] == pytest.approx(5.0)
+
+def _passing() -> ScenarioOutcome:
+    return ScenarioOutcome({"latency": 0.5}, [], {"log.jsonl": "{\"a\": 1}\n"})
+
+
+def _failing() -> ScenarioOutcome:
+    return ScenarioOutcome(
+        {"latency": 2.0}, ["latency 2.0s above the SLA"],
+        {"log.jsonl": "{\"b\": 2}\n"},
+    )
+
+
+class TestBenchCommand:
+    """The driver over a two-entry stand-in registry, run serially."""
+
+    @pytest.fixture
+    def registry(self, monkeypatch, tmp_path):
+        scenarios = {"passing": _passing, "failing": _failing}
+        monkeypatch.setattr(bench, "BENCH_SCENARIOS", scenarios)
+        for run in run_bench():
+            write_baseline(run, tmp_path / "baselines")
+        return tmp_path
+
+    def command(self, tmp_path, *extra):
+        parser = argparse.ArgumentParser()
+        add_bench_arguments(parser)
+        return run_bench_command(parser.parse_args(
+            ["--check", "--baseline-dir", str(tmp_path / "baselines"), *extra]
+        ))
+
+    def test_run_carries_invariants_and_exports(self, registry):
+        passing, failing = run_bench()
+        assert passing.failures == () and failing.failures == (
+            "latency 2.0s above the SLA",
+        )
+        assert passing.exports == {"log.jsonl": '{"a": 1}\n'}
+
+    def test_failing_invariant_fails_check(self, registry, capsys):
+        assert self.command(registry) == 1
+        out = capsys.readouterr().out
+        assert "FAILURE: failing: latency 2.0s above the SLA" in out
+        assert "passing:" not in out.split("FAILURE", 1)[1]
+
+    def test_passing_invariants_pass_check(self, registry, capsys):
+        assert self.command(registry, "--only", "passing") == 0
+        assert "FAILURE" not in capsys.readouterr().out
+
+    def test_artefact_drift_fails_check(self, registry, capsys):
+        baseline = load_baseline(registry / "baselines", "passing")
+        baseline["artefact"]["latency"] = 0.6
+        baseline_path(registry / "baselines", "passing").write_text(
+            json.dumps(baseline)
+        )
+        assert self.command(registry, "--only", "passing") == 1
+        assert "artefact drift" in capsys.readouterr().out
+
+    def test_exports_land_in_fresh_dir(self, registry):
+        fresh = registry / "fresh"
+        self.command(registry, "--fresh-dir", str(fresh))
+        assert (fresh / "BENCH_passing.json").exists()
+        assert (fresh / "BENCH_failing.json").exists()
+        # Exports sharing a file name concatenate in registry order.
+        assert (fresh / "log.jsonl").read_text() == '{"a": 1}\n{"b": 2}\n'

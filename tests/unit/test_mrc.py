@@ -2,9 +2,9 @@
 
 import numpy as np
 import pytest
+from mrc_oracle import FenwickTree
 
 from repro.core.mrc import (
-    FenwickTree,
     MissRatioCurve,
     MRCParameters,
     MRCTracker,
